@@ -9,7 +9,8 @@
 
    Two layers plus a kernel regression harness: the before/after kernel
    suite times the pooled O(|X|) kernels against the pre-pool (seed)
-   algorithms, replicated verbatim below, at |X| = 2^10 / 2^14 / 2^18.
+   algorithms, replicated verbatim below, at |X| = 2^10 / 2^14 / 2^18
+   (plus the nearest-point index on a 2^16 regression grid).
 
    Usage:
      dune exec bench/main.exe                       # micro + kernels + experiments
@@ -17,7 +18,7 @@
      dune exec bench/main.exe -- t1-uglm            # one experiment
      dune exec bench/main.exe -- micro              # micro + kernel benchmarks only
      dune exec bench/main.exe -- micro --json       # also write BENCH_pmw.json
-     dune exec bench/main.exe -- micro --json --quick  # |X| = 2^10 only (CI smoke) *)
+     dune exec bench/main.exe -- micro --json --quick  # |X| = 2^10, plus the 2^16 nearest row (CI smoke) *)
 
 open Bechamel
 open Toolkit
@@ -174,6 +175,18 @@ let seed_expect universe w f =
   let values = Array.mapi (fun i wi -> wi *. f i (Universe.get universe i)) w in
   Pmw_linalg.Vec.kahan_sum values
 
+let seed_nearest t p =
+  let best = ref 0 and best_d = ref infinity in
+  Array.iteri
+    (fun i q ->
+      let d = Pmw_data.Point.dist p q in
+      if d < !best_d then begin
+        best := i;
+        best_d := d
+      end)
+    (Universe.points t);
+  !best
+
 (* Median of three timed batches, each batch running for ~0.15 s wall clock;
    returns ns per call. *)
 let time_ns f =
@@ -213,6 +226,36 @@ let walled make =
   row
 
 let par_domains = 4
+
+(* nearest: snapping records onto the universe (Synth, Continuous.ingest).
+   Each call snaps the next of 256 universe points jittered by up to 0.05
+   per coordinate and label. The index is not pooled, so its one timing
+   fills both the pool-1 and pool-4 columns; it is built on the first
+   (warm-up) call, which the row's wall clock includes. *)
+let nearest_row universe bits =
+  let rng = Rng.create ~seed:6 () in
+  let jitter x = x +. Rng.uniform rng ~lo:(-0.05) ~hi:0.05 in
+  let queries =
+    Array.init 256 (fun _ ->
+        let p = Universe.get universe (Rng.int rng (Universe.size universe)) in
+        Pmw_data.Point.make ~label:(jitter p.Pmw_data.Point.label)
+          (Array.map jitter p.Pmw_data.Point.features))
+  in
+  let next = ref 0 in
+  let query () =
+    next := (!next + 1) land 255;
+    queries.(!next)
+  in
+  walled (fun () ->
+      let indexed = time_ns (fun () -> ignore (Universe.nearest universe (query ()))) in
+      {
+        kr_name = "data/nearest";
+        kr_bits = bits;
+        kr_baseline = time_ns (fun () -> ignore (seed_nearest universe (query ())));
+        kr_seq = indexed;
+        kr_par = indexed;
+        kr_wall_s = 0.;
+      })
 
 let bench_kernels_at ~pool1 ~pool4 bits =
   let universe = Universe.hypercube ~d:bits () in
@@ -283,7 +326,7 @@ let bench_kernels_at ~pool1 ~pool4 bits =
           kr_wall_s = 0.;
         })
   in
-  [ mw_update; distribution; lse; expect ]
+  [ mw_update; distribution; lse; expect; nearest_row universe bits ]
 
 let speedup r = r.kr_baseline /. r.kr_par
 
@@ -359,6 +402,10 @@ let run_kernels ~json ~quick () =
   let pool1 = Pool.create ~domains:1 () in
   let pool4 = Pool.create ~domains:par_domains () in
   let rows = List.concat_map (bench_kernels_at ~pool1 ~pool4) sizes in
+  (* the regression grid the linear-regression workload snaps onto, at
+     |X| = 114^2 * 5 ~ 2^16 *)
+  let grid = Universe.regression_grid ~d:2 ~levels:114 ~label_levels:5 () in
+  let rows = rows @ [ nearest_row grid 16 ] in
   print_kernel_rows rows;
   if json then write_json ~path:"BENCH_pmw.json" ~quick rows;
   Pool.shutdown pool4;

@@ -36,8 +36,19 @@ val iter : t -> f:(int -> Point.t -> unit) -> unit
 
 val nearest : t -> Point.t -> int
 (** Index of the universe element closest (in {!Point.dist}) to the given
-    point; ties go to the lowest index. Linear scan — universes are small by
-    design. *)
+    point; ties go to the lowest index. Returns [0] when no element is at a
+    finite distance (a NaN or infinite coordinate in the query, or a
+    distance that overflows).
+
+    Answered from an exact k-d tree over features and label, built on the
+    first call in [O(|X| log |X|)] and kept with the universe (safe when
+    several domains make the first call at once). The result is exactly
+    that of a linear scan comparing the same {!Point.dist} values, but a
+    query only measures the elements whose tree box could hold one at
+    least as close as the best found so far. Elements of {!points} must not
+    be mutated after the first call.
+    @raise Invalid_argument when the point's dimension differs from
+    {!dim}. *)
 
 val max_feature_norm : t -> float
 (** [max_x ||x||₂] over the universe — used to bound Lipschitz constants. *)

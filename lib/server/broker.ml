@@ -69,7 +69,6 @@ type analyst = {
   an_refused : int;
   an_rejected : int;
   an_deduped : int;
-  an_history : (int * string) list;
 }
 
 (* Mutable twin of [analyst]; all fields are guarded by the broker lock
@@ -82,7 +81,6 @@ type analyst_state = {
   mutable st_refused : int;
   mutable st_rejected : int;
   mutable st_deduped : int;
-  mutable st_history : (int * string) list;  (* newest first *)
 }
 
 type pending = {
@@ -334,7 +332,6 @@ let analyst_state t id =
           st_refused = 0;
           st_rejected = 0;
           st_deduped = 0;
-          st_history = [];
         }
       in
       Hashtbl.add t.analysts id st;
@@ -707,9 +704,6 @@ let process_batch t items =
           | Protocol.Degraded _ | Protocol.Partial _ -> st.st_degraded <- st.st_degraded + 1
           | Protocol.Refused _ | Protocol.Failed _ -> st.st_refused <- st.st_refused + 1
           | Protocol.Rejected _ -> st.st_rejected <- st.st_rejected + 1);
-          st.st_history <-
-            (reply.Protocol.rsp_seq, Protocol.status_tag reply.Protocol.rsp_status)
-            :: st.st_history;
           (match p.p_req.Protocol.req_rid with
           | None -> ()
           | Some rid ->
@@ -1067,7 +1061,6 @@ let analysts t =
             an_refused = st.st_refused;
             an_rejected = st.st_rejected;
             an_deduped = st.st_deduped;
-            an_history = List.rev st.st_history;
           }
           :: acc)
         t.analysts []

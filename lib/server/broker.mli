@@ -73,7 +73,6 @@ type analyst = {
   an_refused : int;  (** refusals and protocol errors *)
   an_rejected : int;  (** turned away at admission *)
   an_deduped : int;  (** served from the recorded-answer table *)
-  an_history : (int * string) list;  (** (seq, status tag), oldest first *)
 }
 
 (** Epoch (dataset-generation) lifecycle. When configured, the serializer

@@ -47,18 +47,23 @@ let parse_object ~line s =
             advance ();
             if !pos >= n then parse_error line "unterminated escape"
             else begin
-              (match s.[!pos] with
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' ->
-                  if !pos + 4 < n then begin
-                    let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-                    if code < 0x80 then Buffer.add_char b (Char.chr code)
-                    else Buffer.add_string b (Printf.sprintf "\\u%04x" code);
-                    pos := !pos + 4
-                  end
-              | c -> Buffer.add_char b c);
+              let* () =
+                match s.[!pos] with
+                | 'n' -> Ok (Buffer.add_char b '\n')
+                | 'r' -> Ok (Buffer.add_char b '\r')
+                | 't' -> Ok (Buffer.add_char b '\t')
+                | 'u' ->
+                    let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+                    if !pos + 4 < n && String.for_all is_hex (String.sub s (!pos + 1) 4) then begin
+                      let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
+                      if code < 0x80 then Buffer.add_char b (Char.chr code)
+                      else Buffer.add_string b (Printf.sprintf "\\u%04x" code);
+                      pos := !pos + 4;
+                      Ok ()
+                    end
+                    else parse_error line (Printf.sprintf "bad \\u escape at byte %d" !pos)
+                | c -> Ok (Buffer.add_char b c)
+              in
               advance ();
               go ()
             end

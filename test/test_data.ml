@@ -8,6 +8,7 @@ module Histogram = Pmw_data.Histogram
 module Dataset = Pmw_data.Dataset
 module Synth = Pmw_data.Synth
 module Rng = Pmw_rng.Rng
+module Dist = Pmw_rng.Dist
 
 let checkf tol = Alcotest.(check (float tol))
 
@@ -418,6 +419,188 @@ let qcheck_nearest_is_argmin =
       let di = Point.dist p (Universe.get u i) in
       Universe.fold u ~init:true ~f:(fun acc _ q -> acc && di <= Point.dist p q +. 1e-12))
 
+(* --- nearest-point index against the linear scan --- *)
+
+(* The seed's [Universe.nearest], kept verbatim as the oracle. *)
+let scan_nearest u p =
+  let best = ref 0 and best_d = ref infinity in
+  Array.iteri
+    (fun i q ->
+      let d = Point.dist p q in
+      if d < !best_d then begin
+        best := i;
+        best_d := d
+      end)
+    (Universe.points u);
+  !best
+
+type universe_spec =
+  | Hypercube of int * float
+  | Labeled_hypercube of int * float array
+  | Grid_ball of int * int * float
+  | Ball_cover of int * int
+  | Ball_cover_labeled of int * int * int
+  | Regression_grid of int * int * int
+  | Points_with_duplicates of int * int * int  (* dim, distinct points, seed *)
+
+let universe_of_spec = function
+  | Hypercube (d, scale) -> Universe.hypercube ~d ~scale ()
+  | Labeled_hypercube (d, labels) -> Universe.labeled_hypercube ~d ~labels ()
+  | Grid_ball (d, levels, radius) -> Universe.grid_ball ~d ~levels ~radius ()
+  | Ball_cover (d, levels) -> Universe.ball_cover ~d ~levels ()
+  | Ball_cover_labeled (d, levels, label_levels) ->
+      Universe.ball_cover_labeled ~d ~levels ~label_levels ()
+  | Regression_grid (d, levels, label_levels) -> Universe.regression_grid ~d ~levels ~label_levels ()
+  | Points_with_duplicates (d, m, seed) ->
+      (* coordinates on a coarse lattice so distances tie often; every point
+         appears twice, and one in eight carries a non-finite coordinate *)
+      let rng = Rng.create ~seed () in
+      let lattice () = float_of_int (Rng.int rng 5 - 2) /. 2. in
+      let distinct =
+        Array.init m (fun _ ->
+            let x = Array.init d (fun _ -> lattice ()) in
+            (match Rng.int rng 16 with
+            | 0 -> x.(Rng.int rng d) <- Float.nan
+            | 1 -> x.(Rng.int rng d) <- Float.infinity
+            | _ -> ());
+            Point.make ~label:(lattice ()) x)
+      in
+      let pts = Array.append distinct distinct in
+      Dist.shuffle pts rng;
+      Universe.of_points ~name:"duplicates" pts
+
+let spec_to_string = function
+  | Hypercube (d, s) -> Printf.sprintf "hypercube d=%d scale=%g" d s
+  | Labeled_hypercube (d, l) -> Printf.sprintf "labeled_hypercube d=%d labels=%d" d (Array.length l)
+  | Grid_ball (d, l, r) -> Printf.sprintf "grid_ball d=%d levels=%d r=%g" d l r
+  | Ball_cover (d, l) -> Printf.sprintf "ball_cover d=%d levels=%d" d l
+  | Ball_cover_labeled (d, l, ll) -> Printf.sprintf "ball_cover_labeled d=%d levels=%d labels=%d" d l ll
+  | Regression_grid (d, l, ll) -> Printf.sprintf "regression_grid d=%d levels=%d labels=%d" d l ll
+  | Points_with_duplicates (d, m, seed) -> Printf.sprintf "of_points d=%d m=%d seed=%d" d m seed
+
+let gen_spec =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun d s -> Hypercube (d, s)) (int_range 1 7) (float_range 0.1 3.);
+        map2
+          (fun d l -> Labeled_hypercube (d, Array.of_list l))
+          (int_range 1 5)
+          (list_size (int_range 1 4) (float_range (-2.) 2.));
+        map3 (fun d l r -> Grid_ball (d, l, r)) (int_range 1 3) (int_range 2 9) (float_range 0.5 2.);
+        map2 (fun d l -> Ball_cover (d, l)) (int_range 1 3) (int_range 2 9);
+        map3 (fun d l ll -> Ball_cover_labeled (d, l, ll)) (int_range 1 2) (int_range 2 7) (int_range 2 5);
+        map3 (fun d l ll -> Regression_grid (d, l, ll)) (int_range 1 3) (int_range 2 7) (int_range 2 5);
+        map3 (fun d m seed -> Points_with_duplicates (d, m, seed)) (int_range 1 4) (int_range 1 60) nat;
+      ])
+
+(* Queries of every kind the index must answer like the scan: universe
+   points, exact midpoints of neighbouring elements (ties), random points
+   around the universe, points far outside it, and NaN / ±inf coordinates. *)
+let queries u rng =
+  let m = Universe.size u and d = Universe.dim u in
+  let pick () = Universe.get u (Rng.int rng m) in
+  let perturb s (p : Point.t) =
+    Point.make
+      ~label:(p.Point.label +. Rng.uniform rng ~lo:(-.s) ~hi:s)
+      (Array.map (fun x -> x +. Rng.uniform rng ~lo:(-.s) ~hi:s) p.Point.features)
+  in
+  let midpoint (a : Point.t) (b : Point.t) =
+    Point.make ~label:((a.Point.label +. b.Point.label) /. 2.)
+      (Array.map2 (fun x y -> (x +. y) /. 2.) a.Point.features b.Point.features)
+  in
+  let special () =
+    let p = perturb 0.5 (pick ()) in
+    let v = [| Float.nan; Float.infinity; Float.neg_infinity |].(Rng.int rng 3) in
+    if Rng.int rng (d + 1) = d then Point.make ~label:v p.Point.features
+    else begin
+      p.Point.features.(Rng.int rng d) <- v;
+      p
+    end
+  in
+  List.concat
+    [
+      List.init 6 (fun _ -> pick ());
+      List.init 8 (fun _ ->
+          let i = Rng.int rng m in
+          let j = Int.min (m - 1) (i + 1 + Rng.int rng 3) in
+          midpoint (Universe.get u i) (Universe.get u j));
+      List.init 8 (fun _ -> perturb 0.3 (pick ()));
+      List.init 4 (fun _ ->
+          let p = pick () in
+          let s = 10. ** float_of_int (1 + Rng.int rng 200) in
+          Point.make ~label:(p.Point.label *. s) (Array.map (fun x -> (x +. 0.1) *. s) p.Point.features));
+      List.init 4 (fun _ -> special ());
+    ]
+
+let qcheck_nearest_matches_scan =
+  QCheck.Test.make ~name:"nearest index = linear scan" ~count:300
+    (QCheck.make
+       ~print:(fun (spec, seed) -> Printf.sprintf "%s, query seed %d" (spec_to_string spec) seed)
+       QCheck.Gen.(pair gen_spec nat))
+    (fun (spec, seed) ->
+      let u = universe_of_spec spec in
+      List.for_all
+        (fun q ->
+          let got = Universe.nearest u q and want = scan_nearest u q in
+          got = want || QCheck.Test.fail_reportf "query %s: index %d, scan %d"
+                          (Format.asprintf "%a" Point.pp q) got want)
+        (queries u (Rng.create ~seed ())))
+
+let test_nearest_non_finite () =
+  let u = Universe.regression_grid ~d:2 ~levels:5 ~label_levels:3 () in
+  List.iter
+    (fun (what, q) -> Alcotest.(check int) what (scan_nearest u q) (Universe.nearest u q))
+    [
+      ("NaN feature", Point.make [| Float.nan; 0. |]);
+      ("NaN label", Point.make ~label:Float.nan [| 0.; 0. |]);
+      ("+inf feature", Point.make [| Float.infinity; 0. |]);
+      ("-inf label", Point.make ~label:Float.neg_infinity [| 0.; 0. |]);
+      ("overflowing distance", Point.make [| 1e300; 0. |]);
+    ];
+  Alcotest.(check int) "NaN snaps to index 0" 0 (Universe.nearest u (Point.make [| Float.nan; 0. |]))
+
+(* Two domains make the first call on a fresh universe at once; both must
+   agree with the scan. *)
+let test_nearest_concurrent_first_call () =
+  let rng = Rng.create ~seed:44 () in
+  for _ = 1 to 4 do
+    let u = Universe.regression_grid ~d:2 ~levels:40 ~label_levels:5 () in
+    let qs = Array.of_list (List.concat (List.init 20 (fun _ -> queries u rng))) in
+    let want = Array.map (scan_nearest u) qs in
+    let go () = Array.map (Universe.nearest u) qs in
+    let a = Domain.spawn go and b = Domain.spawn go in
+    let ra = Domain.join a and rb = Domain.join b in
+    Alcotest.(check (array int)) "first domain = scan" want ra;
+    Alcotest.(check (array int)) "second domain = scan" want rb
+  done
+
+(* Datasets built through the index are byte-identical to those the linear
+   scan built: digests of the row indices, recorded from the scan. *)
+let rows_digest ds =
+  Dataset.rows ds |> Array.to_list |> List.map string_of_int |> String.concat ","
+  |> Digest.string |> Digest.to_hex
+
+let test_regression_sample_golden () =
+  List.iter
+    (fun (levels, digest) ->
+      let w = Pmw_experiments.Common.Workload.regression ~levels () in
+      let ds = w.Pmw_experiments.Common.Workload.sample ~n:50_000 (Rng.create ~seed:1407 ()) in
+      Alcotest.(check string) (Printf.sprintf "levels %d" levels) digest (rows_digest ds))
+    [
+      (3, "7cfc58c506eb5c79da7bb8e249a1d055");
+      (7, "d009fc940482aef014a824ad35abad9b");
+      (14, "f9ae66f721f2b927dc20d2e86071a956");
+    ]
+
+let test_ingest_golden () =
+  let rng = Rng.create ~seed:1571 () in
+  let features = Array.init 5_000 (fun _ -> Dist.gaussian_vector ~dim:3 ~sigma:0.6 rng) in
+  let labels = Array.init 5_000 (fun _ -> Rng.uniform rng ~lo:(-1.2) ~hi:1.2) in
+  let u, ds = Continuous.ingest ~alpha:0.1 ~features ~labels () in
+  Alcotest.(check int) "universe size" 114448 (Universe.size u);
+  Alcotest.(check string) "rows" "d50cd809fd185e08c8561e2b0a6b335f" (rows_digest ds)
+
 let () =
   Alcotest.run "pmw_data"
     [
@@ -432,6 +615,10 @@ let () =
           Alcotest.test_case "regression grid" `Quick test_regression_grid;
           Alcotest.test_case "validation" `Quick test_universe_validation;
           Alcotest.test_case "nearest" `Quick test_nearest;
+          Alcotest.test_case "nearest non-finite queries" `Quick test_nearest_non_finite;
+          Alcotest.test_case "nearest concurrent first call" `Quick test_nearest_concurrent_first_call;
+          Alcotest.test_case "regression sample golden" `Quick test_regression_sample_golden;
+          Alcotest.test_case "ingest golden" `Quick test_ingest_golden;
           Alcotest.test_case "max feature norm" `Quick test_max_feature_norm;
         ] );
       ( "histogram",
@@ -477,5 +664,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_of_weights_sums_to_one; qcheck_kl_nonneg; qcheck_nearest_is_argmin ] );
+          [
+            qcheck_of_weights_sums_to_one;
+            qcheck_kl_nonneg;
+            qcheck_nearest_is_argmin;
+            qcheck_nearest_matches_scan;
+          ] );
     ]

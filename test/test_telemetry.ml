@@ -174,6 +174,24 @@ let test_load_reports_bad_line () =
           in
           Alcotest.(check bool) "line number in error" true has_line2)
 
+(* A malformed [\u] escape is a typed parse error, not an exception. *)
+let test_load_rejects_bad_unicode_escape () =
+  let mark name = Printf.sprintf {|{"ts":0.0,"round":-1,"kind":"mark","name":"%s"}|} name in
+  List.iter
+    (fun bad ->
+      with_temp_trace (fun path ->
+          let oc = open_out path in
+          output_string oc (bad ^ "\n");
+          close_out oc;
+          match Trace.load ~path with
+          | Ok _ -> Alcotest.failf "accepted %S" bad
+          | Error m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S reported on line 1: %s" bad m)
+                true
+                (String.length m >= 6 && String.sub m 0 6 = "line 1")))
+    [ mark {|x\uZZZZ|}; mark {|x\u12|}; {|{"ts":0.0,"round":-1,"kind":"mark","name":"\u12|} ]
+
 (* --- validator defect detection --- *)
 
 let ev ?(ts = 0.) ?(round = -1) ?(fields = []) kind name =
@@ -389,6 +407,7 @@ let () =
         [
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "bad line reported" `Quick test_load_reports_bad_line;
+          Alcotest.test_case "bad \\u escape reported" `Quick test_load_rejects_bad_unicode_escape;
           Alcotest.test_case "validator catches defects" `Quick test_validate_catches_defects;
         ] );
       ( "acceptance",
