@@ -48,12 +48,13 @@ let iso8601_utc () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
-(* Replace one top-level [section] of the pmw-kernel-bench document at
-   [path], creating a minimal skeleton when the file is absent or
-   unparsable. Other sections (the kernel table, "server", "chaos") are
-   preserved byte-for-value; the schema tag is upgraded to the current
-   version, since the writer emits the current section shapes. *)
-let merge_section ~path ~section ~command json =
+(* Set each top-level field in [updates] of the pmw-kernel-bench document
+   at [path] — in place when present, appended otherwise — creating a
+   minimal skeleton when the file is absent or unparsable. Every other
+   section (the kernel table, "server", "chaos", ...) is preserved
+   byte-for-value; the schema tag is upgraded to the current version,
+   since the writer emits the current section shapes. *)
+let merge_fields ~path ~command updates =
   let existing =
     if Sys.file_exists path then begin
       let ic = open_in_bin path in
@@ -77,15 +78,19 @@ let merge_section ~path ~section ~command json =
       ]
     else List.remove_assoc "schema" existing
   in
-  let fields =
-    (("schema", Protocol.Str schema) :: List.remove_assoc section fields) @ [ (section, json) ]
+  let replaced =
+    List.map (fun (k, v) -> (k, Option.value (List.assoc_opt k updates) ~default:v)) fields
   in
+  let added = List.filter (fun (k, _) -> not (List.mem_assoc k fields)) updates in
   let buf = Buffer.create 4096 in
-  pretty ~depth:0 buf (Protocol.Obj fields);
+  pretty ~depth:0 buf (Protocol.Obj ((("schema", Protocol.Str schema) :: replaced) @ added));
   Buffer.add_char buf '\n';
-  let oc = open_out path in
+  let oc = open_out_bin path in
   Buffer.output_buffer oc buf;
-  close_out oc;
+  close_out oc
+
+let merge_section ~path ~section ~command json =
+  merge_fields ~path ~command [ (section, json) ];
   Printf.printf "wrote %s (%s section)\n%!" path section
 
 (* Query names the stock `pmw_cli serve` regression workload (d=2)

@@ -467,7 +467,7 @@ let fleet_soak ~bin ~dir ~seed ~eps ~n ~k ~shards ~analysts ~cycles ~kill_min ~k
     | Error why ->
         Printf.eprintf "INVARIANT VIOLATED: fleet trace unreadable: %s\n%!" why;
         false
-    | Ok events -> (
+    | Ok { Trace.events; _ } -> (
         match Trace.validate events with
         | Ok () -> true
         | Error why ->
@@ -1129,7 +1129,7 @@ let () =
     | Error why ->
         Printf.eprintf "INVARIANT VIOLATED: final trace unreadable: %s\n%!" why;
         false
-    | Ok events -> (
+    | Ok { Trace.events; _ } -> (
         match Trace.validate events with
         | Ok () -> true
         | Error why ->

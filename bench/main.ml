@@ -355,46 +355,48 @@ let read_first_line cmd =
       | Unix.WEXITED 0 -> (match line with Some "" | None -> None | s -> s)
       | _ | (exception _) -> None)
 
-let iso8601_utc () =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-
+(* Rewrites only the kernel-table fields of BENCH_pmw.json; the sections
+   load.exe and chaos.exe merge in ("server", "chaos", ...) survive. *)
 let write_json ~path ~quick rows =
-  let oc = open_out path in
+  let module J = Pmw_server.Protocol in
   let git =
     match read_first_line "git describe --always --dirty 2>/dev/null" with
     | Some rev -> rev
     | None -> "unknown"
   in
   let pmw_domains = try Sys.getenv "PMW_DOMAINS" with Not_found -> "" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"%s\",\n" Bench_json.schema;
-  Printf.fprintf oc "  \"command\": \"bench/main.exe -- micro --json%s\",\n"
-    (if quick then " --quick" else "");
-  (* Trajectory metadata: enough to line up two BENCH_pmw.json files from
-     different commits/machines before comparing their numbers. *)
-  Printf.fprintf oc "  \"meta\": {\n";
-  Printf.fprintf oc "    \"git\": \"%s\",\n" (String.escaped git);
-  Printf.fprintf oc "    \"timestamp\": \"%s\",\n" (iso8601_utc ());
-  Printf.fprintf oc "    \"ocaml\": \"%s\",\n" Sys.ocaml_version;
-  Printf.fprintf oc "    \"pmw_domains_env\": \"%s\",\n" (String.escaped pmw_domains);
-  Printf.fprintf oc "    \"quick\": %b\n" quick;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"domains\": %d,\n" par_domains;
-  Printf.fprintf oc "  \"grain\": %d,\n" Pool.grain;
-  Printf.fprintf oc "  \"kernels\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"name\": \"%s\", \"universe_bits\": %d, \"baseline_ns\": %.1f, \"seq_ns\": %.1f, \
-         \"par_ns\": %.1f, \"speedup\": %.3f, \"wall_s\": %.3f }%s\n"
-        r.kr_name r.kr_bits r.kr_baseline r.kr_seq r.kr_par (speedup r) r.kr_wall_s
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  let command = "bench/main.exe -- micro --json" ^ if quick then " --quick" else "" in
+  let num_i i = J.Num (float_of_int i) in
+  let kernel r =
+    J.Obj
+      [
+        ("name", J.Str r.kr_name);
+        ("universe_bits", num_i r.kr_bits);
+        ("baseline_ns", J.Num r.kr_baseline);
+        ("seq_ns", J.Num r.kr_seq);
+        ("par_ns", J.Num r.kr_par);
+        ("speedup", J.Num (speedup r));
+        ("wall_s", J.Num r.kr_wall_s);
+      ]
+  in
+  Bench_json.merge_fields ~path ~command
+    [
+      ("command", J.Str command);
+      (* Trajectory metadata: enough to line up two BENCH_pmw.json files
+         from different commits/machines before comparing their numbers. *)
+      ( "meta",
+        J.Obj
+          [
+            ("git", J.Str git);
+            ("timestamp", J.Str (Bench_json.iso8601_utc ()));
+            ("ocaml", J.Str Sys.ocaml_version);
+            ("pmw_domains_env", J.Str pmw_domains);
+            ("quick", J.Bool quick);
+          ] );
+      ("domains", num_i par_domains);
+      ("grain", num_i Pool.grain);
+      ("kernels", J.Arr (List.map kernel rows));
+    ];
   Printf.printf "wrote %s\n%!" path
 
 let run_kernels ~json ~quick () =

@@ -1024,6 +1024,15 @@ let pp_tree t =
         (match l.Trace.lg_ok with Some true -> "ok" | Some false -> "FAILED" | None -> ""))
     t.Trace.tr_legs
 
+(* A torn final line is what a killed writer leaves: dropped, but said. *)
+let report_torn path (l : Trace.loaded) =
+  Option.iter
+    (fun (t : Trace.torn_tail) ->
+      Printf.printf "%s: dropped a torn final line (line %d, %d bytes: %s)\n" path t.Trace.torn_line
+        t.Trace.torn_bytes t.Trace.torn_error)
+    l.Trace.torn_tail;
+  l.Trace.events
+
 let stats_fleet file events check =
   let ( let* ) r f = match r with Error m -> `Error (false, m) | Ok v -> f v in
   let siblings = fleet_siblings file in
@@ -1032,7 +1041,7 @@ let stats_fleet file events check =
       (fun acc (id, path) ->
         Result.bind acc (fun l ->
             match Trace.load ~path with
-            | Ok evs -> Ok ((id, path, evs) :: l)
+            | Ok loaded -> Ok ((id, path, report_torn path loaded) :: l)
             | Error m -> Error (path ^ ": " ^ m)))
       (Ok []) siblings
     |> Result.map List.rev
@@ -1174,7 +1183,8 @@ let stats_cmd =
   let run file check fleet journal =
     match Trace.load ~path:file with
     | Error m -> `Error (false, m)
-    | Ok events -> (
+    | Ok loaded -> (
+        let events = report_torn file loaded in
         let summary = Trace.summarize events in
         Format.printf "%a@." Trace.pp_summary summary;
         pp_losses summary;

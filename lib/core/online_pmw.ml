@@ -53,6 +53,9 @@ type t = {
   mutable stamp : int;
       (* bumped whenever the hypothesis may have changed (MW update,
          restore); versions every batch-memo entry *)
+  reference : (string, Cm_query.t * float) Hashtbl.t;
+      (* min_θ ℓ(θ; D) per query: depends on neither the hypothesis nor the
+         batch, so it lives as long as the mechanism (see the memo notes) *)
 }
 
 let create ?pool ?telemetry ~config ~dataset ~oracle ?prior ~rng () =
@@ -90,6 +93,7 @@ let create ?pool ?telemetry ~config ~dataset ~oracle ?prior ~rng () =
     telemetry;
     answered = 0;
     stamp = 0;
+    reference = Hashtbl.create 8;
   }
 
 let hypothesis t = Pmw_mw.Mw.distribution t.mw
@@ -109,27 +113,35 @@ let all_finite v =
   Array.iter (fun x -> if not (Float.is_finite x) then ok := false) v;
   !ok
 
-(* --- batch-scoped solve memoization ---
+(* --- solve memoization ---
 
    Every value cached here is a deterministic pure function of its key: the
    hypothesis distribution and the public minimizer depend only on (query,
-   MW state), the reference solve and the error-query value only on (query,
-   dataset, MW state) — and the pool guarantees each is bit-identical on
-   recomputation. Reusing a memo entry therefore NEVER changes an answer,
-   only skips redundant O(|X|) sweeps; a batch of queries runs bit-for-bit
-   like the same queries answered one by one.
+   MW state), the error-query value on (query, dataset, MW state), and the
+   reference minimum min_θ ℓ(θ; D) on (query, dataset) alone — and the pool
+   guarantees each is bit-identical on recomputation. Reusing an entry
+   therefore NEVER changes an answer, only skips redundant O(|X|) or O(n)
+   sweeps; a batch of queries runs bit-for-bit like the same queries
+   answered one by one.
 
-   Entries are versioned by [t.stamp] (bumped on every MW update and on
-   restore) so a ⊤ mid-batch invalidates everything computed against the
-   old hypothesis. Keys are query names, but each entry carries the query
-   value itself and is only reused on PHYSICAL equality — two distinct
-   queries that happen to share a name fall back to recomputation instead
-   of silently aliasing. *)
+   Two lifetimes. The reference minimum is keyed on nothing the mechanism
+   ever changes (the dataset is fixed for its life; an epoch transition or
+   a resume builds a new mechanism), so it is cached in [t.reference] and
+   solved once per query for the mechanism's life, across batches, the
+   sequential path and [restore]. Everything that depends on the hypothesis
+   sits in a batch-scoped [memo], versioned by [t.stamp] (bumped on every
+   MW update and on restore) so a ⊤ mid-batch invalidates everything
+   computed against the old hypothesis; keeping it per batch bounds what
+   it pins (histograms, minimizers) to one broker batch.
+
+   Keys are query names, but each entry carries the query value itself and
+   is only reused on PHYSICAL equality — two distinct queries that happen
+   to share a name fall back to recomputation (and replace the entry)
+   instead of silently aliasing. *)
 
 type memo = {
   mutable m_dhat : (int * Pmw_data.Histogram.t) option;  (** stamped D̂ᵗ *)
   m_theta : (string, int * Cm_query.t * Vec.t) Hashtbl.t;  (** stamped θ̂ *)
-  m_ref : (string, Cm_query.t * float) Hashtbl.t;  (** min_θ ℓ(θ; D): stamp-free *)
   m_q : (string, int * Cm_query.t * float) Hashtbl.t;  (** stamped err_ℓ(D, D̂ᵗ) *)
 }
 
@@ -139,7 +151,7 @@ let batch t =
   {
     b_mech = t;
     b_memo =
-      { m_dhat = None; m_theta = Hashtbl.create 8; m_ref = Hashtbl.create 8; m_q = Hashtbl.create 8 };
+      { m_dhat = None; m_theta = Hashtbl.create 8; m_q = Hashtbl.create 8 };
   }
 
 let memo_dhat t memo =
@@ -165,8 +177,8 @@ let memo_theta_hyp t memo query dhat =
       Hashtbl.replace memo.m_theta query.Cm_query.name (t.stamp, query, theta);
       theta
 
-let memo_reference_value t memo query =
-  match Hashtbl.find_opt memo.m_ref query.Cm_query.name with
+let reference_value t query =
+  match Hashtbl.find_opt t.reference query.Cm_query.name with
   | Some (q, v) when q == query ->
       Telemetry.incr t.telemetry "solve_memo_hits";
       v
@@ -176,14 +188,14 @@ let memo_reference_value t memo query =
             Cm_query.minimize_on_dataset ~pool:t.pool ~iters:t.config.Config.solver_iters query
               t.dataset)
       in
-      Hashtbl.replace memo.m_ref query.Cm_query.name (query, report.Solve.value);
+      Hashtbl.replace t.reference query.Cm_query.name (query, report.Solve.value);
       report.Solve.value
 
 let memo_q_value t memo query theta_hyp =
   match Hashtbl.find_opt memo.m_q query.Cm_query.name with
   | Some (stamp, q, v) when stamp = t.stamp && q == query -> v
   | _ ->
-      let reference = memo_reference_value t memo query in
+      let reference = reference_value t query in
       let v =
         Float.max 0. (Cm_query.loss_on_dataset ~pool:t.pool query t.dataset theta_hyp -. reference)
       in
@@ -302,8 +314,8 @@ let batch_answer b query =
 
 let batch_mechanism b = b.b_mech
 
-(* A fresh single-use batch per call: no sharing, so the sequential path
-   computes exactly what it always did. *)
+(* A fresh single-use batch per call: the hypothesis-dependent solves are
+   recomputed, the session-lifetime reference minimum is shared. *)
 let answer t query = batch_answer (batch t) query
 
 let answer_opt t query = match answer t query with Answered o -> Some o | _ -> None

@@ -115,23 +115,34 @@ val answer_all : t -> Cm_query.t list -> verdict list
 
 (** {1 Batched evaluation}
 
-    A batch is a short-lived evaluation context that amortizes the O(|X|)
-    work behind consecutive {!batch_answer} calls: the hypothesis extraction
-    (one softmax sweep of [D̂ᵗ]), the public minimizer [θ̂] and the
-    error-query value [err_ℓ(D, D̂ᵗ)] are each computed once per (query,
-    hypothesis version) and reused — the query server's broker evaluates a
-    whole batch of pending analyst requests against one hypothesis pass.
+    Two caches amortize the solves behind the error query
+    [err_ℓ(D, D̂ᵗ) = ℓ(θ̂ᵗ; D) − min_θ ℓ(θ; D)]:
+
+    - The reference minimum [min_θ ℓ(θ; D)] depends only on the query and
+      the private dataset, neither of which changes for the mechanism's
+      life. The mechanism itself caches it, so it is solved once per query
+      and reused by every later {!answer}, every batch and every call after
+      {!restore}. (An epoch transition or a resume creates a new mechanism,
+      which starts with an empty cache.)
+    - A batch is a short-lived evaluation context for everything that
+      depends on the hypothesis: the hypothesis extraction (one softmax
+      sweep of [D̂ᵗ]), the public minimizer [θ̂] and the error-query value
+      are each computed once per (query, hypothesis version) within the
+      batch and reused. The query server's broker evaluates a whole batch
+      of pending analyst requests against one hypothesis pass.
 
     Reuse is {e sound by construction}: every cached value is a
     deterministic pure function of its key (the pool makes recomputation
     bit-identical), so a batch produces bit-for-bit the verdicts of the same
     queries fed to {!answer} one at a time, in the same order — including
-    when a ⊤ mid-batch updates the hypothesis (entries are versioned and
-    invalidated). Each sparse-vector test still consumes its own stream
+    when a ⊤ mid-batch updates the hypothesis (batch entries are versioned
+    and invalidated). Each sparse-vector test still consumes its own stream
     slot and draws its own noise; only the deterministic solves are shared.
-    Reuse requires physically-equal query values (e.g. resolved from one
-    registry); name-equal but distinct queries are recomputed, never
-    aliased. A [solve_memo_hits] counter tracks sharing. *)
+    Both caches are keyed by query name but reuse an entry only for a
+    physically-equal query value (e.g. resolved from one registry); a
+    name-equal but distinct query is recomputed and replaces the entry,
+    never aliased. A [solve_memo_hits] counter tracks sharing; each actual
+    reference solve is a ["solve.reference"] span. *)
 
 type batch
 

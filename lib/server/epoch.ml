@@ -83,23 +83,7 @@ let set_fault_hook f = Atomic.set fault_hook (Some f)
 let clear_fault_hook () = Atomic.set fault_hook None
 let probe step = match Atomic.get fault_hook with None -> () | Some f -> f step
 
-(* --- durable write helpers (same pattern as Checkpoint.write) --- *)
-
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
-let write_all fd s ~from ~len =
-  let b = Bytes.unsafe_of_string s in
-  let written = ref 0 in
-  while !written < len do
-    match Unix.write fd b (from + !written) (len - !written) with
-    | k -> written := !written + k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
+(* --- durable write (helpers shared with Checkpoint) --- *)
 
 (* Write [content] to [path] via tmp + fsync + rename + dirsync, with the
    probe points threaded through. [mid] names the probe fired after the
@@ -114,9 +98,9 @@ let commit_file ~tmp ~path ~write_step ~mid_step ~fsync_step ~rename_step ~dirsy
     (fun () ->
       let n = String.length content in
       let half = n / 2 in
-      write_all fd content ~from:0 ~len:half;
+      Checkpoint.write_all fd content ~len:half;
       probe mid_step;
-      write_all fd content ~from:half ~len:(n - half);
+      Checkpoint.write_all fd content ~from:half ~len:(n - half);
       probe fsync_step;
       Unix.fsync fd);
   probe rename_step;
@@ -180,7 +164,7 @@ let snapshot_body sn =
 
 let snapshot_to_string sn =
   let body = snapshot_body sn in
-  Printf.sprintf "%s %d\nchecksum %Lx\n%s" magic version (fnv1a64 body) body
+  Printf.sprintf "%s %d\nchecksum %Lx\n%s" magic version (Checkpoint.fnv1a64 body) body
 
 let ( let* ) = Result.bind
 
@@ -226,7 +210,7 @@ let snapshot_of_string s =
   in
   let body = String.sub s !pos (len - !pos) in
   let* () =
-    if Int64.equal expected (fnv1a64 body) then Ok ()
+    if Int64.equal expected (Checkpoint.fnv1a64 body) then Ok ()
     else Error "epoch snapshot: checksum mismatch — corrupt or torn file"
   in
   let* epoch_line = read_line "epoch" in

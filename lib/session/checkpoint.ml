@@ -37,7 +37,7 @@ type t = {
   acct_events : (float * float) list;
 }
 
-(* --- checksum --- *)
+(* --- durable-write helpers (shared with the journal and epoch snapshots) --- *)
 
 let fnv1a64 s =
   let h = ref 0xcbf29ce484222325L in
@@ -45,6 +45,18 @@ let fnv1a64 s =
     (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
     s;
   !h
+
+(* EINTR means nothing was written (the process installs signal handlers),
+   so retrying keeps a record that fits one write(2) in one write(2). *)
+let write_all ?(from = 0) ?len fd s =
+  let len = match len with Some l -> l | None -> String.length s - from in
+  let b = Bytes.unsafe_of_string s in
+  let written = ref 0 in
+  while !written < len do
+    match Unix.write fd b (from + !written) (len - !written) with
+    | k -> written := !written + k
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done
 
 (* --- encoding ---
 
@@ -365,15 +377,7 @@ let write ~path t =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let s = to_string t in
-      let b = Bytes.unsafe_of_string s in
-      let n = Bytes.length b in
-      let written = ref 0 in
-      while !written < n do
-        match Unix.write fd b !written (n - !written) with
-        | k -> written := !written + k
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
+      write_all fd (to_string t);
       Unix.fsync fd);
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)

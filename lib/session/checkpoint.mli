@@ -70,6 +70,14 @@ val write : path:string -> t -> unit
     either the previous checkpoint or the new one, with the bytes of
     whichever name survives guaranteed on disk. *)
 
+val fnv1a64 : string -> int64
+(** 64-bit FNV-1a — the checksum of checkpoints, epoch snapshots and
+    journal records. *)
+
+val write_all : ?from:int -> ?len:int -> Unix.file_descr -> string -> unit
+(** Write [len] bytes of the string starting at [from] (default: all of it),
+    retrying on [EINTR] (which writes nothing) and on short writes. *)
+
 val fsync_dir : string -> unit
 (** Best-effort fsync of a directory fd — the second half of the atomic
     rename commit (making the new name itself durable). Exposed for other

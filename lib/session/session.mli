@@ -70,9 +70,10 @@ val answer_all : t -> Pmw_core.Cm_query.t list -> Pmw_core.Online_pmw.verdict li
 (** {1 Batched answering}
 
     The query server's broker answers each drained batch of analyst requests
-    through one {!batch} context, so the mechanism's deterministic solves
-    (hypothesis extraction, public minimizers, error-query values) are shared
-    across the batch — see {!Pmw_core.Online_pmw.batch}. Verdicts, ledger
+    through one {!batch} context, so the mechanism's hypothesis-dependent
+    solves (hypothesis extraction, public minimizers, error-query values) are
+    shared across the batch; the reference minimum [min_θ ℓ(θ; D)] is shared
+    for the session's life — see {!Pmw_core.Online_pmw.batch}. Verdicts, ledger
     debits and degradation behaviour are bit-identical to calling {!answer}
     on the same queries in the same order. *)
 

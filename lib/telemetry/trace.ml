@@ -189,21 +189,37 @@ let event_of_line ~line s =
   in
   Ok { Telemetry.ts; round; kind; name; fields }
 
+type torn_tail = { torn_line : int; torn_bytes : int; torn_error : string }
+type loaded = { events : Telemetry.event list; torn_tail : torn_tail option }
+
+(* The journal's crash policy: a writer killed mid-line leaves a final line
+   with no newline, which is dropped and reported; any complete line that
+   does not parse is corruption and fails the load. *)
 let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
+  match open_in_bin path with
+  | exception Sys_error m -> Error m
+  | ic -> (
       let rec go line acc =
+        let start = pos_in ic in
         match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
+        | exception End_of_file -> Ok { events = List.rev acc; torn_tail = None }
         | "" -> go (line + 1) acc
         | s -> (
             match event_of_line ~line s with
             | Ok e -> go (line + 1) (e :: acc)
-            | Error m -> Error m)
+            | Error m ->
+                let terminated = pos_in ic - start > String.length s in
+                if terminated then Error m
+                else
+                  Ok
+                    {
+                      events = List.rev acc;
+                      torn_tail =
+                        Some { torn_line = line; torn_bytes = String.length s; torn_error = m };
+                    })
       in
-      go 1 [])
+      try Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> go 1 [])
+      with Sys_error m -> Error m)
 
 (* --- structural validation --- *)
 

@@ -5,9 +5,24 @@
     {!Telemetry.event_to_json} produces (one object per line; string, number
     and bool values; no nesting), which keeps the library dependency-free. *)
 
-val load : path:string -> (Telemetry.event list, string) result
-(** Parse a JSONL trace file, oldest event first. Blank lines are skipped;
-    the first malformed line aborts with its line number. *)
+type torn_tail = {
+  torn_line : int;  (** 1-based line number of the dropped fragment *)
+  torn_bytes : int;  (** its length in bytes *)
+  torn_error : string;  (** why it did not parse *)
+}
+
+type loaded = {
+  events : Telemetry.event list;  (** oldest first *)
+  torn_tail : torn_tail option;  (** a dropped final fragment, if any *)
+}
+
+val load : path:string -> (loaded, string) result
+(** Parse a JSONL trace file. Blank lines are skipped. Follows the write-ahead
+    journal's crash policy: a final line with no trailing newline that does
+    not parse — what a writer killed mid-line ([kill -9]) leaves — is dropped
+    and reported in [torn_tail]; a final fragment that does parse is kept.
+    A malformed complete line is corruption: [Error "line N: ..."]. An
+    unreadable path is [Error] with the system message. Never raises. *)
 
 val validate : Telemetry.event list -> (unit, string) result
 (** Structural invariants every well-formed trace satisfies:

@@ -225,6 +225,177 @@ let test_online_accurate_with_exact_oracle () =
             true (err <= config.Config.alpha +. 0.02))
     queries
 
+(* --- Solve memoization ---
+
+   The mechanism caches min_θ ℓ(θ; D) per query for its whole life and a
+   batch caches the hypothesis-dependent solves; neither may change a
+   verdict. *)
+
+module Session = Pmw_session.Session
+module Telemetry = Pmw_telemetry.Telemetry
+
+let memo_panel =
+  [|
+    Cm_query.make ~name:"sq" ~loss:(Losses.squared ()) ~domain ();
+    Cm_query.make ~name:"huber" ~loss:(Losses.huber ~delta:0.5 ()) ~domain ();
+    Cm_query.make ~name:"abs" ~loss:(Losses.absolute ()) ~domain ();
+    Cm_query.make ~name:"q30" ~loss:(Losses.quantile ~tau:0.3 ()) ~domain ();
+  |]
+
+(* A fixed-seed dataset and query stream, independent of the shared [rng]
+   (whose state depends on which tests ran before). *)
+let memo_dataset =
+  lazy
+    (Synth.linear_regression ~universe ~theta_star:[| 0.5; -0.2 |] ~noise:0.1 ~n:3_000
+       (Rng.create ~seed:1407 ()))
+
+let memo_stream ~len =
+  let r = Rng.create ~seed:1571 () in
+  List.init len (fun _ -> memo_panel.(Rng.int r (Array.length memo_panel)))
+
+let memo_config () = practical_config ~alpha:0.02 ~k:64 ~t_max:20 ()
+
+let memo_mechanism ?telemetry ?(config = memo_config ()) () =
+  Online_pmw.create ?telemetry ~config ~dataset:(Lazy.force memo_dataset)
+    ~oracle:Pmw_erm.Oracles.exact ~rng:(Rng.create ~seed:15 ()) ()
+
+(* Everything an analyst sees of a verdict, floats by their bits. *)
+let verdict_key v =
+  let outcome o =
+    let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+    Printf.sprintf "%s %s %d"
+      (String.concat "," (Array.to_list (Array.map bits o.Online_pmw.theta)))
+      (match o.Online_pmw.source with
+      | Online_pmw.From_hypothesis -> "hyp"
+      | Online_pmw.From_oracle -> "oracle")
+      o.Online_pmw.update_index
+  in
+  match v with
+  | Online_pmw.Answered o -> "A " ^ outcome o
+  | Online_pmw.Degraded (o, d) -> "D " ^ outcome o ^ " " ^ Online_pmw.degradation_to_string d
+  | Online_pmw.Refused r -> "R " ^ Online_pmw.refusal_to_string r
+
+(* Digest of the per-query [Online_pmw.answer] transcript of [memo_stream
+   ~len:36], recorded before the reference minimum became session-scoped. *)
+let memo_golden_digest = "79a0e906df380c238df6a57b9a14a728"
+
+let test_memo_three_ways_bit_identical () =
+  let stream = memo_stream ~len:36 in
+  let verdicts =
+    let m = memo_mechanism () in
+    List.map (Online_pmw.answer m) stream
+  in
+  let sequential = List.map verdict_key verdicts in
+  let one_batch =
+    let m = memo_mechanism () in
+    let b = Online_pmw.batch m in
+    List.map (fun q -> verdict_key (Online_pmw.batch_answer b q)) stream
+  in
+  let broker =
+    let s =
+      Session.create ~config:(memo_config ()) ~dataset:(Lazy.force memo_dataset)
+        ~oracles:[ Pmw_erm.Oracles.exact ] ~rng:(Rng.create ~seed:15 ()) ()
+    in
+    List.map (fun q -> verdict_key (Session.batch_answer (Session.batch s) q)) stream
+  in
+  let tops =
+    List.length
+      (List.filter
+         (function
+           | Online_pmw.Answered { Online_pmw.source = Online_pmw.From_oracle; _ } -> true
+           | _ -> false)
+         verdicts)
+  in
+  Alcotest.(check bool) (Printf.sprintf "at least one MW update (%d)" tops) true (tops >= 1);
+  Alcotest.(check (list string)) "one batch = per-query answer" sequential one_batch;
+  Alcotest.(check (list string)) "per-request session batches = per-query answer" sequential broker;
+  Alcotest.(check string) "golden digest" memo_golden_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" sequential)))
+
+let span_begins tel name =
+  List.length
+    (List.filter
+       (fun e -> e.Telemetry.kind = Telemetry.Span_begin && e.Telemetry.name = name)
+       (Telemetry.events tel))
+
+let test_memo_reference_once_per_query () =
+  let tel = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
+  let config = practical_config ~alpha:0.05 ~k:128 ~t_max:60 () in
+  let m = memo_mechanism ~telemetry:tel ~config () in
+  let stream = memo_stream ~len:40 in
+  let first = List.filteri (fun i _ -> i < 20) stream in
+  let rest = List.filteri (fun i _ -> i >= 20) stream in
+  (* as the broker does: a fresh batch per request *)
+  let ask q = ignore (Online_pmw.batch_answer (Online_pmw.batch m) q : Online_pmw.verdict) in
+  List.iter ask first;
+  let snap = Online_pmw.snapshot m in
+  List.iter ask rest;
+  Alcotest.(check bool) "an MW update happened" true (Online_pmw.updates m >= 1);
+  Online_pmw.restore m snap;
+  List.iter (fun q -> ignore (Online_pmw.answer m q : Online_pmw.verdict)) rest;
+  Alcotest.(check bool) "still live" false (Online_pmw.halted m);
+  let asked = List.length (List.sort_uniq compare (List.map (fun q -> q.Cm_query.name) stream)) in
+  Alcotest.(check int) "one reference solve per distinct query" asked
+    (span_begins tel "solve.reference");
+  Alcotest.(check int) "one hypothesis solve per request"
+    (List.length first + (2 * List.length rest))
+    (span_begins tel "solve.hypothesis")
+
+let test_memo_name_collision () =
+  (* Two distinct queries under one name, alternated across batches and the
+     sequential path: each must see its own reference minimum. With a high
+     threshold and next to no SV noise no ⊤ fires, so the hypothesis stays
+     at its prior and a fresh mechanism's error value is the oracle for
+     every later one. *)
+  let a = Cm_query.make ~name:"shared" ~loss:(Losses.squared ()) ~domain () in
+  let b = Cm_query.make ~name:"shared" ~loss:(Losses.absolute ()) ~domain () in
+  let config =
+    Config.practical ~universe ~privacy:(Params.create ~eps:1000. ~delta:1e-6) ~alpha:0.9
+      ~beta:0.05 ~scale:2. ~k:64 ~t_max:6 ~solver_iters:150 ()
+  in
+  let q_values ask =
+    let tel = Telemetry.create ~sink:(Telemetry.Sink.ring ()) () in
+    let m =
+      Online_pmw.create ~telemetry:tel ~config ~dataset:(Lazy.force memo_dataset)
+        ~oracle:Pmw_erm.Oracles.exact ~rng:(Rng.create ~seed:15 ()) ()
+    in
+    ask m;
+    Alcotest.(check int) "no update" 0 (Online_pmw.updates m);
+    List.filter_map
+      (fun e ->
+        match (e.Telemetry.kind, e.Telemetry.fields) with
+        | Telemetry.Observe, [ ("value", Telemetry.Float v) ] when e.Telemetry.name = "q_value" ->
+            Some v
+        | _ -> None)
+      (Telemetry.events tel)
+  in
+  let fresh q =
+    match q_values (fun m -> ignore (Online_pmw.answer m q : Online_pmw.verdict)) with
+    | [ v ] -> v
+    | _ -> Alcotest.fail "expected one error value"
+  in
+  let va = fresh a and vb = fresh b in
+  Alcotest.(check bool) "the two queries differ" true
+    (Int64.bits_of_float va <> Int64.bits_of_float vb);
+  let order = [ a; b; a; a; b; b; a; b ] in
+  let seen =
+    q_values (fun m ->
+        List.iteri
+          (fun i q ->
+            let v =
+              if i mod 3 = 2 then Online_pmw.answer m q
+              else Online_pmw.batch_answer (Online_pmw.batch m) q
+            in
+            ignore (v : Online_pmw.verdict))
+          order)
+  in
+  List.iteri
+    (fun i (q, v) ->
+      let want = if q == a then va else vb in
+      Alcotest.(check int64) (Printf.sprintf "query %d error value" i) (Int64.bits_of_float want)
+        (Int64.bits_of_float v))
+    (List.combine order seen)
+
 (* --- Offline PMW --- *)
 
 let test_offline_answers_all_queries () =
@@ -966,6 +1137,14 @@ let () =
           Alcotest.test_case "accountant" `Quick test_online_accountant_tracks_oracle_calls;
           Alcotest.test_case "hypothesis valid" `Quick test_online_hypothesis_is_valid_histogram;
           Alcotest.test_case "accurate with exact oracle" `Slow test_online_accurate_with_exact_oracle;
+        ] );
+      ( "solve_memo",
+        [
+          Alcotest.test_case "answer = batch = session batches" `Quick
+            test_memo_three_ways_bit_identical;
+          Alcotest.test_case "one reference solve per query" `Quick
+            test_memo_reference_once_per_query;
+          Alcotest.test_case "name collision" `Quick test_memo_name_collision;
         ] );
       ( "offline_pmw",
         [

@@ -144,7 +144,7 @@ let test_jsonl_roundtrip () =
       Telemetry.close t;
       match Trace.load ~path with
       | Error m -> Alcotest.fail m
-      | Ok [ m; d ] ->
+      | Ok { Trace.events = [ m; d ]; torn_tail = None } ->
           Alcotest.(check int) "round" 3 m.Telemetry.round;
           (* floats round-trip bit-exactly through %.17g *)
           Alcotest.(check bool) "float exact" true (float_field m "f" = 0.1);
@@ -155,7 +155,8 @@ let test_jsonl_roundtrip () =
           Alcotest.(check bool) "-inf" true (float_field m "inf" = Float.neg_infinity);
           Alcotest.(check bool) "debit eps exact" true (float_field d "eps" = 1. /. 3.);
           Alcotest.(check string) "mechanism" "mech" (str_field d "mechanism")
-      | Ok evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs))
+      | Ok l ->
+          Alcotest.failf "expected 2 events and no torn tail, got %d" (List.length l.Trace.events))
 
 let test_load_reports_bad_line () =
   with_temp_trace (fun path ->
@@ -191,6 +192,54 @@ let test_load_rejects_bad_unicode_escape () =
                 true
                 (String.length m >= 6 && String.sub m 0 6 = "line 1")))
     [ mark {|x\uZZZZ|}; mark {|x\u12|}; {|{"ts":0.0,"round":-1,"kind":"mark","name":"\u12|} ]
+
+(* Crash policy (the journal's): a torn final line with no newline is
+   dropped and reported; a malformed complete line is a typed error; an
+   unreadable path is an [Error], never an exception. *)
+let good_line = {|{"ts":0.0,"round":-1,"kind":"mark","name":"x"}|}
+
+let load_string contents =
+  with_temp_trace (fun path ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc;
+      Trace.load ~path)
+
+let test_load_drops_torn_tail () =
+  let torn = {|{"ts":0.5,"round":-1,"kind":"ma|} in
+  (match load_string (good_line ^ "\n" ^ good_line ^ "\n" ^ torn) with
+  | Error m -> Alcotest.failf "torn tail aborted the load: %s" m
+  | Ok { Trace.events; torn_tail = Some t } ->
+      Alcotest.(check int) "complete lines kept" 2 (List.length events);
+      Alcotest.(check int) "torn line number" 3 t.Trace.torn_line;
+      Alcotest.(check int) "torn bytes" (String.length torn) t.Trace.torn_bytes
+  | Ok { Trace.torn_tail = None; _ } -> Alcotest.fail "torn tail not reported");
+  (* a final line without a newline that does parse is a complete event *)
+  (match load_string (good_line ^ "\n" ^ good_line) with
+  | Ok { Trace.events; torn_tail = None } ->
+      Alcotest.(check int) "unterminated but whole" 2 (List.length events)
+  | Ok _ -> Alcotest.fail "whole final line reported torn"
+  | Error m -> Alcotest.fail m);
+  (* the same fragment WITH a newline was fully written: corruption *)
+  match load_string (good_line ^ "\n" ^ torn ^ "\n") with
+  | Error m ->
+      Alcotest.(check bool) ("typed error: " ^ m) true (String.starts_with ~prefix:"line 2:" m)
+  | Ok _ -> Alcotest.fail "accepted a malformed complete final line"
+
+let test_load_mid_file_corruption () =
+  match load_string (good_line ^ "\n{\"ts\":oops}\n" ^ good_line ^ "\n") with
+  | Error m ->
+      Alcotest.(check bool) ("typed error: " ^ m) true (String.starts_with ~prefix:"line 2:" m)
+  | Ok _ -> Alcotest.fail "accepted mid-file corruption"
+
+let test_load_unreadable_path () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "pmw-no-such-dir/none.jsonl" in
+  (match Trace.load ~path:missing with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "missing file loaded");
+  match Trace.load ~path:(Filename.get_temp_dir_name ()) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "directory loaded"
 
 (* --- validator defect detection --- *)
 
@@ -289,7 +338,9 @@ let test_accountant_trace_equality () =
       done;
       Telemetry.emit_ledger_finals t;
       Telemetry.close t;
-      let events = match Trace.load ~path with Ok e -> e | Error m -> Alcotest.fail m in
+      let events =
+        match Trace.load ~path with Ok l -> l.Trace.events | Error m -> Alcotest.fail m
+      in
       (match Trace.validate events with
       | Ok () -> ()
       | Error m -> Alcotest.failf "trace invalid: %s" m);
@@ -326,7 +377,9 @@ let test_linear_run_trace () =
       List.iter (fun q -> ignore (Pmw_core.Linear_pmw.answer lp q)) queries;
       Telemetry.emit_ledger_finals t;
       Telemetry.close t;
-      let events = match Trace.load ~path with Ok e -> e | Error m -> Alcotest.fail m in
+      let events =
+        match Trace.load ~path with Ok l -> l.Trace.events | Error m -> Alcotest.fail m
+      in
       (match Trace.validate events with
       | Ok () -> ()
       | Error m -> Alcotest.failf "trace invalid: %s" m);
@@ -408,6 +461,9 @@ let () =
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "bad line reported" `Quick test_load_reports_bad_line;
           Alcotest.test_case "bad \\u escape reported" `Quick test_load_rejects_bad_unicode_escape;
+          Alcotest.test_case "torn tail dropped + reported" `Quick test_load_drops_torn_tail;
+          Alcotest.test_case "mid-file corruption is an error" `Quick test_load_mid_file_corruption;
+          Alcotest.test_case "unreadable path is an error" `Quick test_load_unreadable_path;
           Alcotest.test_case "validator catches defects" `Quick test_validate_catches_defects;
         ] );
       ( "acceptance",
